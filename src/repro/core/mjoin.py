@@ -12,18 +12,18 @@ cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.core.cache import ObjectCache
-from repro.core.njoin import NAryJoin, PreparedSegment, prepare_segment
-from repro.core.subplan import SubplanTracker, make_tracker
+from repro.core.njoin import NAryJoin, prepare_segment
+from repro.core.subplan import make_tracker
 from repro.engine.catalog import Catalog
 from repro.engine.operators.aggregate import AggregateState
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Segment
-from repro.exceptions import CacheError, ExecutionError
+from repro.exceptions import CacheError
 
 
 @dataclass
@@ -184,16 +184,6 @@ class MJoinStateManager:
             outcome.stats.tuples_output += outcome.result_rows
         self.stats.merge(outcome.stats)
         return outcome
-
-    def _segments_for(self, segment_ids: Sequence[str]) -> Dict[str, PreparedSegment]:
-        segments: Dict[str, PreparedSegment] = {}
-        for segment_id in segment_ids:
-            entry = self.cache.get(segment_id)
-            prepared = entry.payload
-            if not isinstance(prepared, PreparedSegment):  # pragma: no cover - defensive
-                raise ExecutionError(f"cache holds unexpected payload for {segment_id!r}")
-            segments[prepared.table_name] = prepared
-        return segments
 
     # ------------------------------------------------------------------ #
     # Results

@@ -53,10 +53,6 @@ class Subplan:
         """Whether the subplan touches ``segment_id``."""
         return segment_id in self.segment_set
 
-    def is_covered_by(self, available: Set[str]) -> bool:
-        """Whether every segment of the subplan is in ``available``."""
-        return self.segment_set <= available
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Subplan #{self.subplan_id} {self.segments}>"
 

@@ -3,9 +3,9 @@
 Executors and client proxies never care whether their GETs land on the
 single shared :class:`~repro.csd.device.ColdStorageDevice` of the paper's
 testbed or on a sharded :class:`~repro.fleet.router.FleetRouter` — both
-expose the same two entry points.  The protocol below captures that contract
-so the client layers can be typed against the interface instead of one
-concrete device class.
+expose the same ``submit()`` entry point.  The protocol below captures that
+contract so the client layers can be typed against the interface instead of
+one concrete device class.
 """
 
 from __future__ import annotations
@@ -25,8 +25,4 @@ class StorageBackend(Protocol):
 
     def submit(self, request: GetRequest) -> GetRequest:
         """Accept a request; its ``completion`` event fires with the payload."""
-        ...
-
-    def get(self, object_key: str, client_id: str, query_id: str) -> GetRequest:
-        """Build and submit a request for ``object_key``."""
         ...

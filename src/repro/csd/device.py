@@ -221,9 +221,7 @@ class DeviceStats:
     Each counter is a :class:`~repro.obs.metrics.Counter` in the (shared or
     private) :class:`~repro.obs.metrics.MetricsRegistry`, so the same values
     the device maintains on its hot path are what registry snapshots export.
-    The legacy attribute names remain as read/write properties: reads return
-    the counter value, writes set it (used when aggregating fleet-wide stats
-    and by tests that perturb counters deliberately).
+    The attribute names are read-only views of the counter values.
     """
 
     __slots__ = (
@@ -259,62 +257,34 @@ class DeviceStats:
         self._migration_deferrals = registry.counter(f"{prefix}.migration_deferrals")
         self.objects_per_client: Dict[str, int] = {}
 
-    # -- legacy attribute views over the registry counters ------------- #
+    # -- read-only views over the registry counters --------------------- #
     @property
     def objects_served(self) -> int:
         return self._objects_served.value
-
-    @objects_served.setter
-    def objects_served(self, value: int) -> None:
-        self._objects_served.value = value
 
     @property
     def group_switches(self) -> int:
         return self._group_switches.value
 
-    @group_switches.setter
-    def group_switches(self, value: int) -> None:
-        self._group_switches.value = value
-
     @property
     def requests_received(self) -> int:
         return self._requests_received.value
-
-    @requests_received.setter
-    def requests_received(self, value: int) -> None:
-        self._requests_received.value = value
 
     @property
     def migration_jobs(self) -> int:
         return self._migration_jobs.value
 
-    @migration_jobs.setter
-    def migration_jobs(self, value: int) -> None:
-        self._migration_jobs.value = value
-
     @property
     def migration_seconds(self) -> float:
         return self._migration_seconds.value
-
-    @migration_seconds.setter
-    def migration_seconds(self, value: float) -> None:
-        self._migration_seconds.value = value
 
     @property
     def migration_interference_seconds(self) -> float:
         return self._migration_interference_seconds.value
 
-    @migration_interference_seconds.setter
-    def migration_interference_seconds(self, value: float) -> None:
-        self._migration_interference_seconds.value = value
-
     @property
     def migration_deferrals(self) -> int:
         return self._migration_deferrals.value
-
-    @migration_deferrals.setter
-    def migration_deferrals(self, value: int) -> None:
-        self._migration_deferrals.value = value
 
     # -- hot-path recording (counters bumped directly: these run once per
     # request and ``Counter.inc``'s negative-amount guard is dead weight for

@@ -15,7 +15,7 @@ pipeline the experiments depend on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Set
 
 from repro.engine.catalog import Catalog
 from repro.engine.operators import (
@@ -37,11 +37,6 @@ class JoinStep:
 
     table: str
     conditions: List[JoinCondition] = field(default_factory=list)
-
-    @property
-    def is_first(self) -> bool:
-        """Whether this step introduces the leftmost (streamed) table."""
-        return not self.conditions
 
 
 @dataclass

@@ -49,7 +49,7 @@ class SchedulingError(StorageError):
 
 
 class PlacementError(StorageError):
-    """Raised when a fleet placement policy cannot place objects."""
+    """Raised when fleet placement cannot place objects."""
 
 
 class FleetError(StorageError):

@@ -3,8 +3,8 @@
 The fleet layer composes N simulated Cold Storage Devices into one
 addressable storage service:
 
-* :mod:`repro.fleet.placement` — :class:`PlacementPolicy` with
-  consistent-hashing and round-robin implementations plus R-way replication.
+* :mod:`repro.fleet.placement` — :class:`ConsistentHashPlacement`, the
+  (optionally weighted) consistent-hash ring with R-way replication.
 * :mod:`repro.fleet.spec` — declarative :class:`FleetSpec` with
   :class:`DeviceFailure`, membership events (:class:`DeviceJoin`,
   :class:`DeviceLeave`, :class:`SetReplication`), heterogeneous
@@ -35,11 +35,7 @@ from repro.fleet.migration import (
 )
 from repro.fleet.placement import (
     DEFAULT_VIRTUAL_NODES,
-    KNOWN_PLACEMENTS,
     ConsistentHashPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    build_placement,
     stable_hash,
 )
 from repro.fleet.router import FleetMember, FleetRouter, FleetRouterStats
@@ -57,7 +53,6 @@ from repro.fleet.spec import (
 
 __all__ = [
     "DEFAULT_VIRTUAL_NODES",
-    "KNOWN_PLACEMENTS",
     "KNOWN_REPLICA_POLICIES",
     "MIGRATION_OBJECT_BYTES",
     "ConsistentHashPlacement",
@@ -76,10 +71,7 @@ __all__ = [
     "MemberRecord",
     "MigrationPlan",
     "MigrationThrottle",
-    "PlacementPolicy",
-    "RoundRobinPlacement",
     "SetReplication",
-    "build_placement",
     "device_name",
     "plan_migration",
     "resolve_device_config",

@@ -1,6 +1,6 @@
 """Object placement across a fleet of cold storage devices.
 
-A placement policy decides, for every object key, which R devices of the
+Consistent hashing decides, for every object key, which R devices of the
 fleet hold a replica.  The first device of each replica tuple is the
 *primary*; the router prefers it unless the replica-choice policy or a
 device failure says otherwise.
@@ -20,9 +20,6 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, PlacementError
-
-#: Placement policy names resolvable by :func:`build_placement`.
-KNOWN_PLACEMENTS = ("consistent-hash", "round-robin")
 
 #: Vnodes per device on the consistent-hash ring.  More vnodes smooth the
 #: per-device share of the key space at the cost of a larger ring.
@@ -68,73 +65,19 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class PlacementPolicy:
-    """Base class: maps every object key onto R distinct devices."""
-
-    name = "base"
-
-    def __init__(self, replication: int = 1) -> None:
-        if replication < 1:
-            raise PlacementError(f"replication must be >= 1, got {replication}")
-        self.replication = replication
-
-    def place(
-        self, object_keys: Sequence[str], device_ids: Sequence[str]
-    ) -> Dict[str, Tuple[str, ...]]:
-        """Map each key to its replica devices (primary first)."""
-        self._validate(object_keys, device_ids)
-        return {key: self.replicas_for(key, device_ids) for key in object_keys}
-
-    def replicas_for(self, object_key: str, device_ids: Sequence[str]) -> Tuple[str, ...]:
-        """Replica devices for one key (primary first)."""
-        raise NotImplementedError
-
-    def _validate(self, object_keys: Sequence[str], device_ids: Sequence[str]) -> None:
-        if not object_keys:
-            raise PlacementError("placement requires at least one object key")
-        if not device_ids:
-            raise PlacementError("placement requires at least one device")
-        if len(set(device_ids)) != len(device_ids):
-            raise PlacementError("device ids must be unique")
-        if self.replication > len(device_ids):
-            raise PlacementError(
-                f"replication factor {self.replication} exceeds fleet size "
-                f"{len(device_ids)}"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "replication": self.replication}
-
-
-class RoundRobinPlacement(PlacementPolicy):
-    """Deal keys onto devices in order: key *i* → devices ``i, i+1, …, i+R-1``.
-
-    Perfectly balanced for uniform key populations, but adding a device
-    relocates almost every key — the weakness consistent hashing fixes.
-    """
-
-    name = "round-robin"
-
-    def place(
-        self, object_keys: Sequence[str], device_ids: Sequence[str]
-    ) -> Dict[str, Tuple[str, ...]]:
-        self._validate(object_keys, device_ids)
-        count = len(device_ids)
-        return {
-            key: tuple(
-                device_ids[(index + replica) % count]
-                for replica in range(self.replication)
-            )
-            for index, key in enumerate(object_keys)
-        }
-
-    def replicas_for(self, object_key: str, device_ids: Sequence[str]) -> Tuple[str, ...]:
+def _check_roster(device_ids: Sequence[str], replication: int) -> None:
+    """Reject a roster that cannot hold ``replication`` distinct replicas."""
+    if not device_ids:
+        raise PlacementError("placement requires at least one device")
+    if len(set(device_ids)) != len(device_ids):
+        raise PlacementError("device ids must be unique")
+    if replication > len(device_ids):
         raise PlacementError(
-            "round-robin placement is positional; use place() over the full key list"
+            f"replication factor {replication} exceeds fleet size {len(device_ids)}"
         )
 
 
-class ConsistentHashPlacement(PlacementPolicy):
+class ConsistentHashPlacement:
     """Consistent hashing with (optionally weighted) virtual nodes and R-way
     replication.
 
@@ -146,10 +89,10 @@ class ConsistentHashPlacement(PlacementPolicy):
     device shifts only the arcs its gained/lost vnodes cover.
     """
 
-    name = "consistent-hash"
-
     def __init__(self, replication: int = 1, virtual_nodes: int = DEFAULT_VIRTUAL_NODES) -> None:
-        super().__init__(replication)
+        if replication < 1:
+            raise PlacementError(f"replication must be >= 1, got {replication}")
+        self.replication = replication
         if virtual_nodes < 1:
             raise PlacementError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.virtual_nodes = virtual_nodes
@@ -310,7 +253,9 @@ class ConsistentHashPlacement(PlacementPolicy):
         caller supplies a pre-sorted ``(hash, key)`` list (the fleet router
         keeps one for epoch diffs and passes it back in here).
         """
-        self._validate(object_keys, device_ids)
+        if not object_keys:
+            raise PlacementError("placement requires at least one object key")
+        _check_roster(device_ids, self.replication)
         hashes, replicas_by_arc = self._segments(device_ids, self.replication)
         ring_size = len(hashes)
         if sorted_key_hashes is None:
@@ -329,6 +274,7 @@ class ConsistentHashPlacement(PlacementPolicy):
         return {key: owners[key] for key in object_keys}
 
     def replicas_for(self, object_key: str, device_ids: Sequence[str]) -> Tuple[str, ...]:
+        """Replica devices for one key (primary first), by one ring bisect."""
         hashes, replicas_by_arc = self._segments(device_ids, self.replication)
         position = bisect.bisect_right(hashes, self.key_hash(object_key))
         return replicas_by_arc[position % len(hashes)]
@@ -360,15 +306,7 @@ class ConsistentHashPlacement(PlacementPolicy):
         exactly the keys a full old-vs-new placement diff would report as
         changed.
         """
-        if not new_device_ids:
-            raise PlacementError("placement requires at least one device")
-        if len(set(new_device_ids)) != len(new_device_ids):
-            raise PlacementError("device ids must be unique")
-        if new_replication > len(new_device_ids):
-            raise PlacementError(
-                f"replication factor {new_replication} exceeds fleet size "
-                f"{len(new_device_ids)}"
-            )
+        _check_roster(new_device_ids, new_replication)
         if old_vnode_counts is None:
             old_vnode_counts = (self.virtual_nodes,) * len(old_device_ids)
         if new_vnode_counts is None:
@@ -414,21 +352,3 @@ class ConsistentHashPlacement(PlacementPolicy):
                     changed[sorted_key_hashes[position][1]] = new_replicas
             index = limit
         return changed
-
-    def to_dict(self) -> Dict[str, object]:
-        description = super().to_dict()
-        description["virtual_nodes"] = self.virtual_nodes
-        return description
-
-
-def build_placement(
-    name: str, replication: int, virtual_nodes: int = DEFAULT_VIRTUAL_NODES
-) -> PlacementPolicy:
-    """Resolve a placement policy name into a policy object."""
-    if name == "consistent-hash":
-        return ConsistentHashPlacement(replication, virtual_nodes=virtual_nodes)
-    if name == "round-robin":
-        return RoundRobinPlacement(replication)
-    raise PlacementError(
-        f"unknown placement policy {name!r}; expected one of {sorted(KNOWN_PLACEMENTS)}"
-    )

@@ -49,18 +49,14 @@ from repro.csd.device import (
     MigrationTokenBucket,
 )
 from repro.csd.layout import LayoutPolicy, extend_layout_with_keys
-from repro.csd.object_store import ObjectStore, split_object_key
+from repro.csd.object_store import ObjectStore
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import ConfigurationError, FleetError
 from repro.fleet.membership import FleetMembership, MemberRecord
 from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.obs import NULL_TRACER, Ewma, MetricsRegistry
-from repro.fleet.placement import (
-    ConsistentHashPlacement,
-    build_placement,
-    normalize_weights,
-)
+from repro.fleet.placement import ConsistentHashPlacement, normalize_weights
 from repro.fleet.spec import (
     DeviceFailure,
     DeviceJoin,
@@ -85,20 +81,18 @@ class FleetMember:
     #: spins idle for the whole run but still appears in fleet metrics).
     device: Optional[ColdStorageDevice]
     object_keys: Tuple[str, ...]
+    #: Per-device EWMA of request latency (routed → completed), in simulated
+    #: seconds; feeds the ``ewma-latency`` policy and the rebalancer.
+    ewma: Ewma
     alive: bool = True
     failed_at: Optional[float] = None
     joined_at: float = 0.0
     left_at: Optional[float] = None
-    #: Requests routed to this device (including later failed-over ones).
-    requests_routed: int = 0
     #: Routed but not yet completed (drives the least-loaded policy).
     outstanding: int = 0
     #: Normalised capacity weight (1.0 on a uniform ring); sizes the device's
     #: vnode share and divides its queue under the ``weighted`` policy.
     weight: float = 1.0
-    #: Per-device EWMA of request latency (routed → completed), in simulated
-    #: seconds; feeds the ``ewma-latency`` policy and the rebalancer.
-    ewma: Optional[Ewma] = None
     #: Sum of completed-request latencies (mean = sum / ewma.count).
     latency_sum: float = 0.0
 
@@ -117,15 +111,13 @@ class FleetMember:
 class FleetRouterStats:
     """Fleet-wide counters, registered as ``router.*`` metrics.
 
-    The attribute names remain read/write properties over the registry
-    counters, so report code and tests keep their existing shape while the
-    values live in the (shared or private)
-    :class:`~repro.obs.metrics.MetricsRegistry`.
+    The attribute names are read-only views over the registry counters, so
+    report code keeps its shape while the values live in the (shared or
+    private) :class:`~repro.obs.metrics.MetricsRegistry`.
     """
 
     __slots__ = (
         "metrics",
-        "per_tenant_device_served",
         "_requests_routed",
         "_failed_over",
         "_handed_off",
@@ -155,39 +147,22 @@ class FleetRouterStats:
         #: Fleet-wide routed→completed latency (simulated seconds); its raw
         #: samples back the p50/p95/p99 figures in the routing report section.
         self.request_latency = registry.histogram("router.request_latency_seconds")
-        self.per_tenant_device_served: Dict[str, Dict[str, int]] = {}
 
     @property
     def requests_routed(self) -> int:
         return self._requests_routed.value
 
-    @requests_routed.setter
-    def requests_routed(self, value: int) -> None:
-        self._requests_routed.value = value
-
     @property
     def failed_over(self) -> int:
         return self._failed_over.value
-
-    @failed_over.setter
-    def failed_over(self, value: int) -> None:
-        self._failed_over.value = value
 
     @property
     def handed_off(self) -> int:
         return self._handed_off.value
 
-    @handed_off.setter
-    def handed_off(self, value: int) -> None:
-        self._handed_off.value = value
-
     @property
     def dropped_migration_jobs(self) -> int:
         return self._dropped_migration_jobs.value
-
-    @dropped_migration_jobs.setter
-    def dropped_migration_jobs(self, value: int) -> None:
-        self._dropped_migration_jobs.value = value
 
     @property
     def choice_primary(self) -> int:
@@ -196,10 +171,6 @@ class FleetRouterStats:
     @property
     def choice_diverted(self) -> int:
         return self._choice_diverted.value
-
-    def record_served(self, tenant: str, device_id: str) -> None:
-        per_device = self.per_tenant_device_served.setdefault(tenant, {})
-        per_device[device_id] = per_device.get(device_id, 0) + 1
 
 
 class FleetRouter:
@@ -247,10 +218,8 @@ class FleetRouter:
         self._key_rank: Dict[str, int] = {
             key: rank for rank, key in enumerate(self._key_order)
         }
-        self._policy = build_placement(
-            fleet_spec.placement,
-            fleet_spec.replication,
-            virtual_nodes=fleet_spec.virtual_nodes,
+        self._policy = ConsistentHashPlacement(
+            fleet_spec.replication, virtual_nodes=fleet_spec.virtual_nodes
         )
         self.members: List[FleetMember] = []
         self._member_by_id: Dict[str, FleetMember] = {}
@@ -275,28 +244,21 @@ class FleetRouter:
         #: once (key hashes never change): the initial bulk placement sweeps
         #: this sorted list and every epoch change walks changed ring arcs
         #: instead of re-placing all keys.
+        self._sorted_key_hashes: List[Tuple[int, str]] = sorted(
+            zip(self._policy.bulk_key_hashes(self._key_order), self._key_order)
+        )
         #: object key -> replica device ids, primary first (current epoch).
-        if isinstance(self._policy, ConsistentHashPlacement):
-            self._sorted_key_hashes: List[Tuple[int, str]] = sorted(
-                zip(self._policy.bulk_key_hashes(self._key_order), self._key_order)
-            )
-            self.placement: Dict[str, Tuple[str, ...]] = self._policy.place(
-                self._key_order,
-                list(fleet_spec.device_ids),
-                sorted_key_hashes=self._sorted_key_hashes,
-            )
-            #: Per-device vnode counts the current placement's ring used,
-            #: aligned with ``_placement_roster``; epoch diffs pass the old
-            #: and new counts so weighted rings diff correctly.
-            self._placement_vnode_counts: Tuple[int, ...] = (
-                self._policy.vnode_counts(list(fleet_spec.device_ids))
-            )
-        else:
-            self._sorted_key_hashes = []
-            self.placement = self._policy.place(
-                self._key_order, list(fleet_spec.device_ids)
-            )
-            self._placement_vnode_counts = ()
+        self.placement: Dict[str, Tuple[str, ...]] = self._policy.place(
+            self._key_order,
+            list(fleet_spec.device_ids),
+            sorted_key_hashes=self._sorted_key_hashes,
+        )
+        #: Per-device vnode counts the current placement's ring used,
+        #: aligned with ``_placement_roster``; epoch diffs pass the old and
+        #: new counts so weighted rings diff correctly.
+        self._placement_vnode_counts: Tuple[int, ...] = self._policy.vnode_counts(
+            list(fleet_spec.device_ids)
+        )
         #: Roster the current placement was computed over; paired with
         #: ``placement_replication`` it identifies the old epoch's ring for
         #: incremental placement diffs.
@@ -371,11 +333,9 @@ class FleetRouter:
         Normalisation is always over the devices actually in the roster, so
         a join or leave re-centres everyone's weight around mean 1.0 — the
         property that keeps an all-equal fleet byte-identical to an
-        unweighted one.  A no-op on uniform fleets and non-ring placements.
+        unweighted one.  A no-op on uniform fleets.
         """
-        if not self._raw_weights or not isinstance(
-            self._policy, ConsistentHashPlacement
-        ):
+        if not self._raw_weights:
             return
         subset = {
             device_id: self._raw_weights[device_id]
@@ -397,22 +357,12 @@ class FleetRouter:
             and member.device.layout.has_object(object_key)
         )
 
-    def _subset_for(self, device_id: str) -> Dict[str, List[str]]:
-        """Current-placement keys of ``device_id``, grouped by client."""
-        subset = {
-            client: [key for key in keys if device_id in self.placement[key]]
-            for client, keys in self.client_objects.items()
-        }
-        return {client: keys for client, keys in subset.items() if keys}
-
     def _invert_placement(self) -> Dict[str, Dict[str, List[str]]]:
-        """Every device's :meth:`_subset_for` computed in one placement pass.
+        """Every device's current-placement keys, grouped by client.
 
-        Walking the canonical key order once and appending each key to its
-        replicas' per-client lists produces, for every device, exactly the
-        dict :meth:`_subset_for` would build — same clients in the same
-        first-seen order, same keys in client order — in O(K·R) total
-        instead of O(devices · K) repeated scans.
+        One walk of the canonical key order appends each key to its
+        replicas' per-client lists: clients land in first-seen order with
+        keys in client order, in O(K·R) total.
         """
         subsets: Dict[str, Dict[str, List[str]]] = {}
         placement = self.placement
@@ -433,40 +383,38 @@ class FleetRouter:
         span = bisect_right(self._client_span_starts, rank) - 1
         return self._client_spans[span][1]
 
-    def _make_throttle(self) -> Optional[MigrationTokenBucket]:
-        """Fresh per-device token bucket, or ``None`` for strict priority."""
+    def _build_device(
+        self, record: MemberRecord, subset: Mapping[str, Sequence[str]]
+    ) -> ColdStorageDevice:
+        """A device for ``record`` whose layout holds ``subset``'s keys."""
         throttle = self.spec.throttle
-        if throttle is None:
-            return None
-        return MigrationTokenBucket(throttle.objects_per_second, throttle.burst)
+        return ColdStorageDevice(
+            env=self.env,
+            object_store=self.object_store,
+            layout=self.layout_policy.build(subset),
+            scheduler=self.scheduler_factory(),
+            config=record.config,
+            migration_throttle=(
+                None
+                if throttle is None
+                else MigrationTokenBucket(throttle.objects_per_second, throttle.burst)
+            ),
+            name=record.device_id,
+            metrics=self._metrics,
+            tracer=self.tracer,
+        )
 
     def _create_member(
         self, record: MemberRecord, subset: Mapping[str, Sequence[str]]
     ) -> FleetMember:
-        device: Optional[ColdStorageDevice] = None
-        member_keys: Tuple[str, ...] = tuple(
-            key for keys in subset.values() for key in keys
-        )
-        if subset:
-            device = ColdStorageDevice(
-                env=self.env,
-                object_store=self.object_store,
-                layout=self.layout_policy.build(subset),
-                scheduler=self.scheduler_factory(),
-                config=record.config,
-                migration_throttle=self._make_throttle(),
-                name=record.device_id,
-                metrics=self._metrics,
-                tracer=self.tracer,
-            )
         member = FleetMember(
             device_id=record.device_id,
             index=record.index,
-            device=device,
-            object_keys=member_keys,
+            device=self._build_device(record, subset) if subset else None,
+            object_keys=tuple(key for keys in subset.values() for key in keys),
+            ewma=Ewma(self.spec.ewma_alpha),
             joined_at=record.joined_at,
             weight=self._member_weights.get(record.device_id, 1.0),
-            ewma=Ewma(self.spec.ewma_alpha),
         )
         self.members.append(member)
         self._member_by_id[record.device_id] = member
@@ -478,7 +426,6 @@ class FleetRouter:
     def submit(self, request: GetRequest) -> GetRequest:
         """Route ``request`` to a live replica of its object."""
         member = self._choose_replica(request.object_key)
-        member.requests_routed += 1
         member.outstanding += 1
         request.routed_at = self.env.now
         self.stats._requests_routed.value += 1
@@ -501,16 +448,6 @@ class FleetRouter:
         member.device.submit(request)
         return request
 
-    def get(self, object_key: str, client_id: str, query_id: str) -> GetRequest:
-        """Convenience wrapper building and submitting a request."""
-        request = GetRequest(
-            object_key=object_key,
-            client_id=client_id,
-            query_id=query_id,
-            completion=self.env.event(name=object_key),
-        )
-        return self.submit(request)
-
     def _make_completion_callback(self, request: GetRequest):
         def _on_complete(_event) -> None:
             member = request.owner
@@ -525,7 +462,7 @@ class FleetRouter:
                     f"device {member.device_id!r} completed more requests "
                     "than were routed to it (outstanding went negative)"
                 )
-            if request.routed_at is not None and member.ewma is not None:
+            if request.routed_at is not None:
                 # Routed→completed latency on the *final* owner (failover
                 # re-stamps routed_at, so a re-routed request charges only
                 # its last leg — the one this device actually served).
@@ -533,8 +470,6 @@ class FleetRouter:
                 member.ewma.observe(latency)
                 member.latency_sum += latency
                 self.stats.request_latency.observe(latency)
-            tenant = request.object_key.partition("/")[0]
-            self.stats.record_served(tenant, member.device_id)
 
         return _on_complete
 
@@ -572,10 +507,7 @@ class FleetRouter:
             # before the EWMA starts steering traffic.
             chosen = min(
                 live,
-                key=lambda member: (
-                    member.ewma.value_or(0.0) if member.ewma is not None else 0.0
-                )
-                * (member.outstanding + 1),
+                key=lambda member: member.ewma.value_or(0.0) * (member.outstanding + 1),
             )
         elif policy == "weighted":
             # Queue depth discounted by capacity: a device weighing 2.0
@@ -609,8 +541,8 @@ class FleetRouter:
         if device is not None:
             drained = device.drain_pending()
             member.outstanding -= len(drained)
-            self.stats.failed_over += len(drained)
-            self.stats.dropped_migration_jobs += len(device.drain_migration_jobs())
+            self.stats._failed_over.inc(len(drained))
+            self.stats._dropped_migration_jobs.inc(len(device.drain_migration_jobs()))
         if self.spec.repair and self.membership.replication >= 2:
             # Read-repair: re-place over the survivors and re-create the dead
             # device's replicas from live sources, so the fleet returns to R
@@ -660,7 +592,7 @@ class FleetRouter:
         if member.device is not None:
             drained = member.device.drain_pending()
             member.outstanding -= len(drained)
-            self.stats.handed_off += len(drained)
+            self.stats._handed_off.inc(len(drained))
         self._rebalance("leave", device_id)
         for request in drained:
             self.submit(request)
@@ -717,21 +649,13 @@ class FleetRouter:
             "outcome": "below-threshold",
         }
         if imbalance > policy.imbalance_threshold:
-            if any(
-                member.ewma is None
-                or member.ewma.count == 0
-                or member.ewma.value <= 0
-                for member in serving
-            ):
+            if any(member.ewma.count == 0 or member.ewma.value <= 0 for member in serving):
                 # A device nobody has completed a request on yet has no
                 # observed rate; acting on a half-sampled fleet would swing
                 # weights on noise, so the controller waits a window.
                 entry["outcome"] = "insufficient-samples"
             else:
-                raw = {
-                    member.device_id: 1.0 / member.ewma.value  # type: ignore[union-attr]
-                    for member in serving
-                }
+                raw = {member.device_id: 1.0 / member.ewma.value for member in serving}
                 target = normalize_weights(raw)
                 current = {
                     member.device_id: self._member_weights.get(member.device_id, 1.0)
@@ -798,33 +722,28 @@ class FleetRouter:
         old_replication = self.placement_replication
         self._policy.replication = replication
         serving = list(self.membership.serving_ids())
-        changed_keys: Optional[List[str]] = None
-        new_vnode_counts: Tuple[int, ...] = ()
-        if isinstance(self._policy, ConsistentHashPlacement):
-            # The old ring's vnode counts are snapshotted; re-normalising
-            # the weights over the new roster (and any reweight that led
-            # here) yields the new counts, and the diff walks both rings.
-            old_vnode_counts = self._placement_vnode_counts
-            self._install_weights(serving)
-            new_vnode_counts = self._policy.vnode_counts(serving)
-            # Only the keys in ring arcs whose replica tuple changed need
-            # re-placing; everything else keeps its entry from the old epoch.
-            changed = self._policy.diff_keys(
-                self._sorted_key_hashes,
-                self._placement_roster,
-                serving,
-                old_replication,
-                replication,
-                old_vnode_counts=old_vnode_counts,
-                new_vnode_counts=new_vnode_counts,
-            )
-            new_placement = dict(old_placement)
-            new_placement.update(changed)
-            # The plan must see changed keys in canonical key order (what a
-            # full placement scan iterates), not hash order.
-            changed_keys = sorted(changed, key=self._key_rank.__getitem__)
-        else:
-            new_placement = self._policy.place(self._key_order, serving)
+        # The old ring's vnode counts are snapshotted; re-normalising the
+        # weights over the new roster (and any reweight that led here)
+        # yields the new counts, and the diff walks both rings.
+        old_vnode_counts = self._placement_vnode_counts
+        self._install_weights(serving)
+        new_vnode_counts = self._policy.vnode_counts(serving)
+        # Only the keys in ring arcs whose replica tuple changed need
+        # re-placing; everything else keeps its entry from the old epoch.
+        changed = self._policy.diff_keys(
+            self._sorted_key_hashes,
+            self._placement_roster,
+            serving,
+            old_replication,
+            replication,
+            old_vnode_counts=old_vnode_counts,
+            new_vnode_counts=new_vnode_counts,
+        )
+        new_placement = dict(old_placement)
+        new_placement.update(changed)
+        # The plan must see changed keys in canonical key order (what a full
+        # placement scan iterates), not hash order.
+        changed_keys = sorted(changed, key=self._key_rank.__getitem__)
         alive = {member.device_id: member.alive for member in self.members}
         plan = plan_migration(
             epoch=epoch_record.epoch,
@@ -837,7 +756,6 @@ class FleetRouter:
             devices_before=epoch_record.devices_before,
             devices_after=epoch_record.devices_after,
             replication=replication,
-            hash_minimal=self.spec.placement == "consistent-hash",
             # Layouts are append-only, so a device that held a key in an
             # earlier epoch still physically has it: re-adopting such a
             # replica costs no migration I/O.
@@ -881,17 +799,8 @@ class FleetRouter:
                         subset[client] = [key]
                     else:
                         bucket.append(key)
-                record = self.membership.record(member.device_id)
-                member.device = ColdStorageDevice(
-                    env=self.env,
-                    object_store=self.object_store,
-                    layout=self.layout_policy.build(subset),
-                    scheduler=self.scheduler_factory(),
-                    config=record.config,
-                    migration_throttle=self._make_throttle(),
-                    name=member.device_id,
-                    metrics=self._metrics,
-                    tracer=self.tracer,
+                member.device = self._build_device(
+                    self.membership.record(member.device_id), subset
                 )
             else:
                 extend_layout_with_keys(member.device.layout, ordered)
@@ -1129,18 +1038,14 @@ class FleetRouter:
         )
         per_device: Dict[str, Dict[str, object]] = {}
         for member in self.members:
-            completed = member.ewma.count if member.ewma is not None else 0
+            completed = member.ewma.count
             per_device[member.device_id] = {
                 "weight": self._member_weights.get(member.device_id, 1.0),
-                # ``None`` for non-ring placements and devices outside the
-                # current roster (left / failed members keep no arc share).
+                # ``None`` for devices outside the current roster (left /
+                # failed members keep no arc share).
                 "vnode_count": vnode_counts.get(member.device_id),
                 "completed_requests": completed,
-                "ewma_latency_seconds": (
-                    member.ewma.value
-                    if member.ewma is not None and completed
-                    else None
-                ),
+                "ewma_latency_seconds": member.ewma.value if completed else None,
                 "mean_latency_seconds": (
                     member.latency_sum / completed if completed else None
                 ),
@@ -1188,29 +1093,33 @@ class FleetRouter:
 
         per_device: Dict[str, Dict[str, object]] = {}
         busy_values: List[float] = []
+        # tenant -> device id -> objects that device served the tenant.
+        served: Dict[str, Dict[str, int]] = {}
         for member in self.members:
             busy = member.busy_seconds()
             busy_values.append(busy)
+            stats = member.device.stats if member.device else None
             per_device[member.device_id] = {
                 "alive": member.alive,
                 "failed_at": member.failed_at,
                 "objects_placed": len(member.object_keys),
                 "objects_served": member.objects_served(),
-                "group_switches": (
-                    member.device.stats.group_switches if member.device else 0
-                ),
-                "requests_routed": member.requests_routed,
+                "group_switches": stats.group_switches if stats else 0,
+                # Received, not served: a failed-over request counts on every
+                # device it was routed to.
+                "requests_routed": stats.requests_received if stats else 0,
                 "busy_seconds": busy,
                 "utilization": (
                     busy / total_simulated_time if total_simulated_time > 0 else 0.0
                 ),
             }
+            if stats:
+                for tenant, count in stats.objects_per_client.items():
+                    served.setdefault(tenant, {})[member.device_id] = count
 
         served_by_tenant = {
             tenant: sum(per_device_counts.values())
-            for tenant, per_device_counts in sorted(
-                self.stats.per_tenant_device_served.items()
-            )
+            for tenant, per_device_counts in sorted(served.items())
         }
         # Per-tenant spread: how evenly each tenant's objects were served
         # across the devices holding at least one replica of its data.
@@ -1222,16 +1131,14 @@ class FleetRouter:
                     if any(key.startswith(f"{tenant}/") for key in member.object_keys)
                 ]
             )
-            for tenant, per_device_counts in sorted(
-                self.stats.per_tenant_device_served.items()
-            )
+            for tenant, per_device_counts in sorted(served.items())
         }
 
         total_served = sum(member.objects_served() for member in self.members)
         return {
             "devices": len(self.members),
             "replication": self.membership.replication,
-            "placement": self.spec.placement,
+            "placement": "consistent-hash",
             "replica_policy": self.spec.replica_policy,
             "per_device": per_device,
             "imbalance_coefficient": imbalance_coefficient(busy_values),

@@ -191,12 +191,11 @@ def _render_membership(fleet) -> str:
 def _render_routing(fleet) -> str:
     """Placement/routing-policy summary for the ``--list`` table.
 
-    Shows ``<placement>/<replica policy>``, with ``+w`` appended when the
-    ring is capacity-weighted (profile weighting) and ``+rb`` when the
-    feedback rebalancer is configured.
+    Shows ``hash/<replica policy>``, with ``+w`` appended when the ring is
+    capacity-weighted (profile weighting) and ``+rb`` when the feedback
+    rebalancer is configured.
     """
-    placement = "hash" if fleet.placement == "consistent-hash" else fleet.placement
-    summary = f"{placement}/{fleet.replica_policy}"
+    summary = f"hash/{fleet.replica_policy}"
     if fleet.weighting != "uniform":
         summary += "+w"
     if fleet.rebalance is not None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from repro.bench import (
-    _event_count,
     attach_baseline,
     check_determinism,
     macro_specs,
@@ -80,17 +79,6 @@ class TestMeasurement:
             assert entry[phase] >= 0.0
         assert entry["wall_seconds"] >= entry["run_seconds"]
         assert entry["peak_rss_kb_delta"] >= 0
-
-    def test_event_count_falls_back_to_sequence_counter(self):
-        class OldEnvironment:
-            _sequence = 17
-
-        class NewEnvironment:
-            dispatched = 23
-            _sequence = 99  # must be ignored when the real counter exists
-
-        assert _event_count(OldEnvironment()) == 17
-        assert _event_count(NewEnvironment()) == 23
 
     def test_peak_rss_is_positive(self):
         assert peak_rss_kb() > 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
+from repro.csd.request import GetRequest
 from repro.exceptions import FleetError, ScenarioError
 from repro.fleet.spec import DeviceFailure, FleetSpec
 from repro.service import StorageService
@@ -58,8 +59,14 @@ class TestRouting:
 
     def test_unplaced_object_rejected(self):
         service = build_fleet_service(FleetSpec(devices=2, replication=1))
+        request = GetRequest(
+            object_key="nobody/nothing.0",
+            client_id="c0",
+            query_id="q",
+            completion=service.env.event(name="nobody/nothing.0"),
+        )
         with pytest.raises(FleetError):
-            service.fleet.get("nobody/nothing.0", "c0", "q")
+            service.fleet.submit(request)
 
     def test_merged_busy_intervals_ordered_by_completion(self):
         service = build_fleet_service(FleetSpec(devices=3, replication=2))
@@ -249,7 +256,6 @@ class TestSpecValidation:
         spec = FleetSpec(
             devices=4,
             replication=2,
-            placement="round-robin",
             replica_policy="least-loaded",
             failures=(DeviceFailure(1, 12.5),),
         )

@@ -126,7 +126,7 @@ class TestMetricsRegistry:
 
 
 class TestComponentStatsCompatibility:
-    """The legacy stats attribute names survive the registry rewrite."""
+    """The stats attribute names are read-only views of registry counters."""
 
     def test_device_stats_registers_namespaced_metrics(self):
         from repro.csd.device import DeviceStats
@@ -138,19 +138,19 @@ class TestComponentStatsCompatibility:
         assert registry.get("device.csd7.objects_served").value == 1
         assert stats.objects_served == 1
         assert stats.group_switches == 1
-        # Direct `+=` (used by tests and fleet aggregation) still works.
-        stats.objects_served += 2
-        assert registry.get("device.csd7.objects_served").value == 3
+        # The attribute reads whatever the registry counter holds.
+        stats.metrics.counter("device.csd7.objects_served").inc(2)
+        assert stats.objects_served == 3
 
     def test_router_stats_registers_metrics(self):
         from repro.fleet.router import FleetRouterStats
 
         registry = MetricsRegistry()
         stats = FleetRouterStats(registry)
-        stats.requests_routed += 4
-        stats.failed_over += 1
-        assert registry.get("router.requests_routed").value == 4
-        assert registry.get("router.failed_over_requests").value == 1
+        stats.metrics.counter("router.requests_routed").inc(4)
+        stats.metrics.counter("router.failed_over_requests").inc(1)
+        assert stats.requests_routed == 4
+        assert stats.failed_over == 1
 
     def test_service_registry_is_populated_by_a_run(self):
         from repro.scenarios.registry import get_scenario

@@ -174,7 +174,8 @@ class TestInvariantChecker:
 
     def test_conservation_detects_lost_objects(self):
         service, result = _run_service()
-        service.device.stats.objects_served += 1
+        device = service.device
+        device.stats.metrics.counter(f"device.{device.name}.objects_served").inc()
         with pytest.raises(InvariantViolation, match="conservation"):
             check_conservation(service, result)
 
