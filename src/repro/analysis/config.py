@@ -8,9 +8,9 @@ matches arbitrarily deep files under that package.
 
 :data:`DEFAULT_CONFIG` encodes the repo policy:
 
-* wall-clock reads (RPR002) are the *job* of the bench harness and of the
-  wall-time budget measurement in the parallel scenario runner, so those
-  files are excluded rather than littered with suppressions;
+* wall-clock reads (RPR002) are the *job* of the wall-time budget
+  measurement in the parallel scenario runner and of the pytest benchmark
+  suite, so those files are excluded rather than littered with suppressions;
 * the builtin-``hash()`` guard (RPR004) only bites where ``PYTHONHASHSEED``
   could bend goldens — placement, routing and device-layout code;
 * float-time equality (RPR101) and the exception-taxonomy rule (RPR104)
@@ -84,12 +84,11 @@ DEFAULT_CONFIG = AnalysisConfig(
     {
         "RPR002": RuleScope(
             exclude=(
-                "src/repro/bench/*",
                 "src/repro/scenarios/parallel.py",
                 "benchmarks/*",
             ),
             reason="measuring wall-clock time is these modules' purpose "
-            "(bench harness, wall-time budgets); simulated logic must "
+            "(wall-time budgets, the benchmark suite); simulated logic must "
             "never read the host clock",
         ),
         "RPR004": RuleScope(

@@ -161,8 +161,9 @@ class WallClockCall(Rule):
 
     Every timestamp in the simulation comes from ``env.now``; a wall-clock
     read woven into scheduling or reporting varies run to run and breaks
-    byte-identical goldens.  Scoped out (config.py) for the bench harness
-    and wall-time budget measurement, whose entire purpose is real time.
+    byte-identical goldens.  Scoped out (config.py) for the wall-time
+    budget measurement and the benchmark suite, whose entire purpose is
+    real time.
     """
 
     code = "RPR002"

@@ -10,10 +10,10 @@ sharded fleet.
 Responsibilities:
 
 * **Routing** — every GET is dispatched to one live replica of its object,
-  chosen by the replica policy: primary-first, least-loaded (queue length),
-  ewma-latency (smoothed service time × queue depth) or weighted (queue
-  depth discounted by capacity weight).  Completions feed a per-device
-  latency EWMA in simulated time, so adaptive policies stay deterministic.
+  chosen by the replica policy: primary-first, least-loaded (queue length)
+  or ewma-latency (smoothed service time × queue depth).  Completions feed
+  a per-device latency EWMA in simulated time, so adaptive policies stay
+  deterministic.
 * **Load-aware placement** — capacity weights (static speed factors under
   ``weighting="profile"``, or observed service rates when the feedback
   rebalancer triggers) size each device's vnode share on the consistent-hash
@@ -58,6 +58,7 @@ from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.obs import NULL_TRACER, Ewma, MetricsRegistry
 from repro.fleet.placement import ConsistentHashPlacement, normalize_weights
 from repro.fleet.spec import (
+    DEFAULT_EWMA_ALPHA,
     DeviceFailure,
     DeviceJoin,
     DeviceLeave,
@@ -90,9 +91,6 @@ class FleetMember:
     left_at: Optional[float] = None
     #: Routed but not yet completed (drives the least-loaded policy).
     outstanding: int = 0
-    #: Normalised capacity weight (1.0 on a uniform ring); sizes the device's
-    #: vnode share and divides its queue under the ``weighted`` policy.
-    weight: float = 1.0
     #: Sum of completed-request latencies (mean = sum / ewma.count).
     latency_sum: float = 0.0
 
@@ -218,18 +216,16 @@ class FleetRouter:
         self._key_rank: Dict[str, int] = {
             key: rank for rank, key in enumerate(self._key_order)
         }
-        self._policy = ConsistentHashPlacement(
-            fleet_spec.replication, virtual_nodes=fleet_spec.virtual_nodes
-        )
+        self._policy = ConsistentHashPlacement(fleet_spec.replication)
         self.members: List[FleetMember] = []
         self._member_by_id: Dict[str, FleetMember] = {}
         #: Raw (un-normalised) capacity weights the weighted ring is built
         #: from: static speed factors under ``weighting="profile"``, observed
         #: 1/EWMA-latency rates once the feedback rebalancer triggers.
-        #: Empty = uniform ring (every device gets ``virtual_nodes`` vnodes).
+        #: Empty = uniform ring (every device gets the default vnode count).
         self._raw_weights: Dict[str, float] = {}
         #: Weights normalised over the current roster (mean 1.0), as
-        #: installed on the ring; mirrored onto ``FleetMember.weight``.
+        #: installed on the ring.
         self._member_weights: Dict[str, float] = {}
         if fleet_spec.weighting == "profile":
             for record in self.membership.records:
@@ -345,8 +341,6 @@ class FleetRouter:
         weights = normalize_weights(subset) if subset else {}
         self._policy.set_weights(weights if weights else None)
         self._member_weights = weights
-        for member in self.members:
-            member.weight = weights.get(member.device_id, 1.0)
 
     def _holds_object(self, device_id: str, object_key: str) -> bool:
         """Whether ``device_id`` already physically stores ``object_key``."""
@@ -412,9 +406,8 @@ class FleetRouter:
             index=record.index,
             device=self._build_device(record, subset) if subset else None,
             object_keys=tuple(key for keys in subset.values() for key in keys),
-            ewma=Ewma(self.spec.ewma_alpha),
+            ewma=Ewma(DEFAULT_EWMA_ALPHA),
             joined_at=record.joined_at,
-            weight=self._member_weights.get(record.device_id, 1.0),
         )
         self.members.append(member)
         self._member_by_id[record.device_id] = member
@@ -509,10 +502,6 @@ class FleetRouter:
                 live,
                 key=lambda member: member.ewma.value_or(0.0) * (member.outstanding + 1),
             )
-        elif policy == "weighted":
-            # Queue depth discounted by capacity: a device weighing 2.0
-            # absorbs twice the outstanding work before being passed over.
-            chosen = min(live, key=lambda member: member.outstanding / member.weight)
         else:
             chosen = live[0]
         if chosen.device_id == replicas[0]:
@@ -1075,7 +1064,7 @@ class FleetRouter:
         return {
             "replica_policy": self.spec.replica_policy,
             "weighting": self.spec.weighting,
-            "ewma_alpha": self.spec.ewma_alpha,
+            "ewma_alpha": DEFAULT_EWMA_ALPHA,
             "replica_choices": {
                 "primary": self.stats.choice_primary,
                 "diverted": self.stats.choice_diverted,

@@ -34,16 +34,16 @@ from repro.fleet.placement import DEFAULT_VIRTUAL_NODES
 
 #: Replica-choice policy names resolvable by the router.  ``least-loaded``
 #: is the queue-length policy; ``ewma-latency`` scores replicas by expected
-#: wait (EWMA of observed latency times queue depth); ``weighted`` divides
-#: queue length by the device's capacity weight.
-KNOWN_REPLICA_POLICIES = ("primary-first", "least-loaded", "ewma-latency", "weighted")
+#: wait (EWMA of observed latency times queue depth).
+KNOWN_REPLICA_POLICIES = ("primary-first", "least-loaded", "ewma-latency")
 
 #: Placement-weighting modes: ``uniform`` keeps the classic hash-uniform
 #: ring; ``profile`` sizes each device's vnode count by its transfer-speed
 #: factor relative to the scenario-wide base device.
 KNOWN_WEIGHTINGS = ("uniform", "profile")
 
-#: Default smoothing factor for the router's per-device latency EWMA.
+#: Smoothing factor of the router's per-device latency EWMA, which feeds
+#: the ``ewma-latency`` policy and the rebalancer.
 DEFAULT_EWMA_ALPHA = 0.3
 
 
@@ -306,14 +306,15 @@ FleetEvent = Union[DeviceJoin, DeviceLeave, SetReplication]
 class FleetSpec:
     """Sharded multi-device fleet: size, replication, elasticity.
 
-    Objects are placed by consistent hashing (the only placement); the
-    report still names it as ``"placement": "consistent-hash"``.
+    Objects are placed by consistent hashing (the only placement) with
+    ``DEFAULT_VIRTUAL_NODES`` vnodes per unit weight, and routing smooths
+    latencies with ``DEFAULT_EWMA_ALPHA``; the report still names all three
+    (``placement``, ``virtual_nodes``, ``ewma_alpha``) as fixed values.
     """
 
     devices: int = 2
     replication: int = 1
     replica_policy: str = "primary-first"
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
     failures: Tuple[DeviceFailure, ...] = ()
     #: Membership changes (joins / graceful leaves / replication-factor
     #: changes) fired at simulated times.
@@ -331,9 +332,6 @@ class FleetSpec:
     #: ``uniform`` (hash-uniform key shares, the classic ring) or
     #: ``profile`` (vnode count ∝ the device's transfer-speed factor).
     weighting: str = "uniform"
-    #: Smoothing factor of the per-device latency EWMA feeding the
-    #: ``ewma-latency`` policy and the rebalancer (0 < alpha <= 1).
-    ewma_alpha: float = DEFAULT_EWMA_ALPHA
     #: Feedback-driven reweighting controller; ``None`` disables it.
     rebalance: Optional[RebalancePolicy] = None
 
@@ -350,8 +348,6 @@ class FleetSpec:
                 f"unknown replica policy {self.replica_policy!r}; "
                 f"expected one of {sorted(KNOWN_REPLICA_POLICIES)}"
             )
-        if self.virtual_nodes < 1:
-            raise ScenarioError(f"virtual_nodes must be >= 1, got {self.virtual_nodes}")
         if self.throttle is not None and not isinstance(self.throttle, MigrationThrottle):
             raise ScenarioError(
                 f"throttle must be a MigrationThrottle or None, got {self.throttle!r}"
@@ -360,10 +356,6 @@ class FleetSpec:
             raise ScenarioError(
                 f"unknown weighting {self.weighting!r}; "
                 f"expected one of {sorted(KNOWN_WEIGHTINGS)}"
-            )
-        if not math.isfinite(self.ewma_alpha) or not 0 < self.ewma_alpha <= 1:
-            raise ScenarioError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
             )
         if self.rebalance is not None and not isinstance(self.rebalance, RebalancePolicy):
             raise ScenarioError(
@@ -560,14 +552,14 @@ class FleetSpec:
             "replication": self.replication,
             "placement": "consistent-hash",
             "replica_policy": self.replica_policy,
-            "virtual_nodes": self.virtual_nodes,
+            "virtual_nodes": DEFAULT_VIRTUAL_NODES,
             "failures": [failure.to_dict() for failure in self.failures],
             "events": [event.to_dict() for event in self.events],
             "profiles": [profile.to_dict() for profile in self.profiles],
             "repair": self.repair,
             "throttle": self.throttle.to_dict() if self.throttle is not None else None,
             "weighting": self.weighting,
-            "ewma_alpha": self.ewma_alpha,
+            "ewma_alpha": DEFAULT_EWMA_ALPHA,
             "rebalance": (
                 self.rebalance.to_dict() if self.rebalance is not None else None
             ),

@@ -193,40 +193,6 @@ SCALES: Dict[str, ScaleProfile] = {
             "lineitem": TableProfile(92, 40),
         },
     ),
-    # "SF-1000": an order of magnitude past sf100 where it matters for Q5 —
-    # 920 lineitem + 24 orders segments make 4*24*920*2 = 176,640 subplans
-    # (vs ~16k at sf100), while the dimension tables stay sf100-sized so the
-    # whole Q5 working set (~952 objects) still fits one large cache.
-    "sf1000": ScaleProfile(
-        "sf1000",
-        {
-            "region": TableProfile(1, 5),
-            "nation": TableProfile(1, 25),
-            "supplier": TableProfile(2, 12),
-            "customer": TableProfile(4, 20),
-            "part": TableProfile(4, 16),
-            "partsupp": TableProfile(14, 20),
-            "orders": TableProfile(24, 30),
-            "lineitem": TableProfile(920, 40),
-        },
-    ),
-    # "mkeys": a key-population stress profile for the placement/fleet layer,
-    # not a faithful TPC-H size: lineitem is shredded into 125k single-row
-    # segments so a handful of single-table tenants put a million objects on
-    # a fleet, while every other table stays tiny to keep generation cheap.
-    "mkeys": ScaleProfile(
-        "mkeys",
-        {
-            "region": TableProfile(1, 5),
-            "nation": TableProfile(1, 25),
-            "supplier": TableProfile(1, 8),
-            "customer": TableProfile(1, 8),
-            "part": TableProfile(1, 8),
-            "partsupp": TableProfile(1, 8),
-            "orders": TableProfile(1, 32),
-            "lineitem": TableProfile(125000, 1),
-        },
-    ),
 }
 
 #: Proportion of line items whose supplier is in the customer's nation; keeps

@@ -291,10 +291,3 @@ class TestTraceCLI:
         with pytest.raises(ConfigurationError):
             main([str(trace_path), "--top", "0"])
 
-
-class TestBenchTracing:
-    def test_bench_run_one_reports_span_count(self):
-        from repro.bench import macro_specs, run_one
-
-        entry = run_one(macro_specs(smoke=True)[0], trace=True)
-        assert entry["trace_spans"] > 0

@@ -149,7 +149,7 @@ class TestWallClockCall:
 
         started = time.perf_counter()
         """
-        assert active_codes(analyze(source, rel_path="src/repro/bench/__init__.py")) == []
+        assert active_codes(analyze(source, rel_path="src/repro/scenarios/parallel.py")) == []
 
     def test_suppressed(self):
         source = (
@@ -479,8 +479,8 @@ class TestConfigScoping:
         assert not config.rule_active("RPR104", "tests/test_sim.py")
 
     def test_exclude_patterns_carve_out(self):
-        config = AnalysisConfig({"RPR002": RuleScope(exclude=("src/repro/bench/*",))})
-        assert not config.rule_active("RPR002", "src/repro/bench/__init__.py")
+        config = AnalysisConfig({"RPR002": RuleScope(exclude=("benchmarks/*",))})
+        assert not config.rule_active("RPR002", "benchmarks/bench_fig07_skipper_scaling.py")
         assert config.rule_active("RPR002", "src/repro/sim/environment.py")
 
     def test_unknown_rule_is_active_everywhere(self):
